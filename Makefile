@@ -54,8 +54,11 @@ chaos-rank:
 # preemption notices with fault rules aimed at the drain window, plus
 # live migrations through migrate-site fault schedules (DESIGN.md §13).
 # Every run must end in a complete drain manifest or a definitive error.
+# The repeated experiments pass makes a data race between the drain's
+# parallel triage workers fail deterministically rather than flake.
 chaos-preempt:
 	$(GO) test -race -run 'TestPreemptChaosSoak|TestMigrateChaosSoak' . -args -preempt.schedules=100
+	$(GO) test -race -count 10 -run 'TestPreemption' ./internal/experiments
 
 # chaos-straggler soaks the gray-failure machinery under -race: seeded
 # latency-only schedules (slowdowns, jitter, stall windows) against

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -93,6 +94,16 @@ type frag struct {
 
 func (f frag) isGap() bool { return f.id == gapID }
 
+// scoreSlot memoizes one fragment's oracle-derived scores for one window
+// scan. Each half is valid while its epoch equals Buffer.scanEpoch, so
+// the slot slice is reused across scans without being cleared.
+type scoreSlot struct {
+	pEpoch, sEpoch uint64
+	p              float64
+	pinned         bool
+	s              float64
+}
+
 // Stats aggregates buffer activity for the evaluation harness.
 type Stats struct {
 	// Evictions counts evicted checkpoints (not gaps).
@@ -125,6 +136,11 @@ type Buffer struct {
 	ep        EvictionPolicy
 	stats     Stats
 	waitObs   func(time.Duration) // per-wait eviction-stall observer
+
+	// scan is the per-scan score snapshot behind bufferView, indexed
+	// like frags; bumping scanEpoch invalidates every slot at once.
+	scan      []scoreSlot
+	scanEpoch uint64
 }
 
 // New creates a buffer of the given capacity. The oracle must be non-nil.
@@ -259,25 +275,16 @@ func (b *Buffer) reserve(id ID, size int64, wait bool) (int64, error) {
 	if _, dup := b.resident[id]; dup {
 		return 0, ErrDuplicate
 	}
-	if b.closed {
-		return 0, ErrClosed
-	}
-
-	// Fast path before any serialization: if a single gap already fits,
-	// place there immediately. This keeps concurrent reservations (e.g.
-	// the co-located clients of a shared host pool) from convoying
-	// behind one client's eviction wait.
-	if off, ok := b.placeInGapLocked(id, size); ok {
-		b.stats.Reservations++
-		return off, nil
-	}
 
 	for {
 		if b.closed {
 			return 0, ErrClosed
 		}
 		// Fast path: a single unclaimed gap fits (best-fit to limit
-		// fragmentation of large gaps).
+		// fragmentation of large gaps). Checked before any serialization
+		// so concurrent reservations (e.g. the co-located clients of a
+		// shared host pool) do not convoy behind one client's eviction
+		// wait.
 		if off, ok := b.placeInGapLocked(id, size); ok {
 			b.stats.Reservations++
 			return off, nil
@@ -443,12 +450,16 @@ func (b *Buffer) evictClaimedLocked(id ID, size int64, startOff, endOff int64) (
 			b.name, windowBytes, size))
 	}
 
-	newFrags := []frag{{id: id, off: startOff, size: size}}
+	// Splice the new fragment (plus any remainder gap) over the erased
+	// window in place; the slice only reallocates when a one-fragment
+	// window grows into two with no spare capacity.
+	nf := frag{id: id, off: startOff, size: size}
 	if rest := windowBytes - size; rest > 0 {
-		newFrags = append(newFrags, frag{id: gapID, off: startOff + size, size: rest})
+		b.frags = slices.Replace(b.frags, first, last, nf,
+			frag{id: gapID, off: startOff + size, size: rest})
+	} else {
+		b.frags = slices.Replace(b.frags, first, last, nf)
 	}
-	tail := append([]frag{}, b.frags[last:]...)
-	b.frags = append(b.frags[:first], append(newFrags, tail...)...)
 	b.coalesceLocked()
 	b.resident[id] = struct{}{}
 	b.ep.OnInsert(id, size)
@@ -482,7 +493,10 @@ func (b *Buffer) fragAtLocked(off int64) (int, bool) {
 }
 
 // bufferView adapts the locked fragment list to the read-only WindowView
-// the policy layer scans. Valid only while the buffer lock is held.
+// the policy layer scans. Scores are read from the oracle at most once
+// per fragment per scan and memoized in b.scan, so every policy sees one
+// consistent snapshot however often it revisits a fragment. Valid only
+// while the buffer lock is held, for the scan that created it.
 type bufferView struct{ b *Buffer }
 
 func (v bufferView) Len() int { return len(v.b.frags) }
@@ -498,11 +512,23 @@ func (v bufferView) Frag(i int) (ID, bool) {
 func (v bufferView) Size(i int) int64 { return v.b.frags[i].size }
 
 func (v bufferView) PScore(i int) (float64, bool) {
-	return v.b.fragPScoreLocked(v.b.frags[i])
+	b := v.b
+	sl := &b.scan[i]
+	if sl.pEpoch != b.scanEpoch {
+		sl.p, sl.pinned = b.fragPScoreLocked(b.frags[i])
+		sl.pEpoch = b.scanEpoch
+	}
+	return sl.p, sl.pinned
 }
 
 func (v bufferView) SScore(i int) float64 {
-	return v.b.fragSScoreLocked(v.b.frags[i])
+	b := v.b
+	sl := &b.scan[i]
+	if sl.sEpoch != b.scanEpoch {
+		sl.s = b.fragSScoreLocked(b.frags[i])
+		sl.sEpoch = b.scanEpoch
+	}
+	return sl.s
 }
 
 // bestWindowLocked delegates window selection to the active eviction
@@ -510,10 +536,15 @@ func (v bufferView) SScore(i int) float64 {
 // window that is out of range, too small, or crosses a pinned/claimed
 // fragment is rejected (treated as infeasible) rather than trusted —
 // a buggy policy may stall a reservation but can never evict pinned
-// data.
+// data. The re-check reads the same per-scan snapshot the policy saw.
 func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool) {
 	b.stats.WindowScans++
-	start, end, feasible = b.ep.SelectWindow(bufferView{b}, sizeNew)
+	b.scanEpoch++
+	if n := len(b.frags); n > len(b.scan) {
+		b.scan = make([]scoreSlot, n+n/4)
+	}
+	v := bufferView{b}
+	start, end, feasible = b.ep.SelectWindow(v, sizeNew)
 	if !feasible {
 		return 0, 0, false
 	}
@@ -522,7 +553,7 @@ func (b *Buffer) bestWindowLocked(sizeNew int64) (start, end int, feasible bool)
 	}
 	var window int64
 	for i := start; i < end; i++ {
-		if _, pinned := b.fragPScoreLocked(b.frags[i]); pinned {
+		if _, pinned := v.PScore(i); pinned {
 			return 0, 0, false
 		}
 		window += b.frags[i].size

@@ -60,7 +60,10 @@ type EvictionPolicy interface {
 // WindowView is the read-only fragment snapshot SelectWindow scans. The
 // indices are fragment positions (checkpoints and gaps interleaved,
 // sorted by offset, tiling the capacity). Views are only valid for the
-// duration of the SelectWindow call.
+// duration of the SelectWindow call, and within it they are a consistent
+// snapshot: PScore and SScore return the same values for a fragment
+// however often they are called, and read the Oracle at most once per
+// fragment.
 type WindowView interface {
 	// Len returns the fragment count.
 	Len() int
@@ -200,11 +203,11 @@ func (p Policy) NewPolicy() (EvictionPolicy, error) {
 
 type scorePolicy struct{}
 
-func (*scorePolicy) Name() string            { return "score" }
-func (*scorePolicy) OnInsert(ID, int64)      {}
-func (*scorePolicy) OnTouch(ID)              {}
-func (*scorePolicy) OnEvict(ID)              {}
-func (*scorePolicy) OnRelease(ID)            {}
+func (*scorePolicy) Name() string       { return "score" }
+func (*scorePolicy) OnInsert(ID, int64) {}
+func (*scorePolicy) OnTouch(ID)         {}
+func (*scorePolicy) OnEvict(ID)         {}
+func (*scorePolicy) OnRelease(ID)       {}
 
 func (*scorePolicy) SelectWindow(v WindowView, sizeNew int64) (start, end int, feasible bool) {
 	n := v.Len()
@@ -258,9 +261,10 @@ func (*scorePolicy) SelectWindow(v WindowView, sizeNew int64) (start, end int, f
 // candidate window minimizing the maximum heat of its members wins
 // (heat: higher = keep; gaps contribute nothing, so gap-only windows are
 // coldest of all). Pinned (or claimed) fragments exclude a window.
-// O(N²) over the fragment list, which is small. First minimal window in
-// ascending start order wins ties — the determinism contract the
-// reference models mirror.
+// O(N²) over the fragment list, which is small; the view memoizes the
+// pin state, so the Oracle is still read once per fragment. First
+// minimal window in ascending start order wins ties — the determinism
+// contract the reference models mirror.
 //
 // Heat values only matter through their ordering: each policy maps its
 // internal state to a total order over resident ids (unknown ids rank

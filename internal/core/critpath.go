@@ -59,14 +59,15 @@ func (a *attrib) mark(now time.Duration, comp string) {
 
 // finish closes the interval at now and returns the attribution record.
 // Time between the last mark and now is the unattributed residue — zero
-// on a correctly instrumented path.
+// on a correctly instrumented path. The record takes over the component
+// map: marks after finish are no-ops, so nothing writes it again.
 func (a *attrib) finish(now time.Duration) metrics.CritPathRecord {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.done = true
-	comps := make(map[string]time.Duration, len(a.comps))
-	for k, v := range a.comps {
-		comps[k] = v
+	comps := a.comps
+	if comps == nil {
+		comps = map[string]time.Duration{}
 	}
 	return metrics.CritPathRecord{
 		Op:           a.op,

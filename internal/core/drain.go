@@ -272,7 +272,7 @@ func (c *Client) drainSnapshot() ([]drainCandidate, bool) {
 		// A worker-owned version is off limits — unless the worker is
 		// parked on host registration, in which case the triage claims
 		// the job (the park can outlast the whole grace window).
-		if ck.fateAccounted || ck.drainClaimed || (c.inFlight[ck.id] && !ck.hostWait) {
+		if ck.fateAccounted || ck.drainClaimed || (c.inFlight[ck.id] > 0 && !ck.hostWait) {
 			continue
 		}
 		if _, recovered := ck.pay.(*storePayload); recovered {
@@ -357,8 +357,8 @@ func (c *Client) drainRound(cands []drainCandidate, deadline time.Duration, outc
 		switch {
 		case cand.discard:
 			c.accountFate(ck, fateDiscarded)
-			outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
-				Outcome: DrainDiscarded, At: c.clk.Now()}
+			c.setOutcome(outcomes, DrainEntry{Version: int64(ck.id), Size: ck.size,
+				Outcome: DrainDiscarded, At: c.clk.Now()})
 			continue
 		case cand.unservable:
 			c.drainAbandon(ck, "no readable replica to flush", outcomes)
@@ -456,8 +456,8 @@ func (c *Client) drainFlush(cand drainCandidate, deadline time.Duration, outcome
 		tier = TierPFS.String()
 	}
 	c.mu.Unlock()
-	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
-		Outcome: DrainFlushed, Tier: tier, At: c.clk.Now()}
+	c.setOutcome(outcomes, DrainEntry{Version: int64(ck.id), Size: ck.size,
+		Outcome: DrainFlushed, Tier: tier, At: c.clk.Now()})
 }
 
 // drainAbandon fails one version open to ErrLost: the manifest carries
@@ -474,8 +474,16 @@ func (c *Client) drainAbandon(ck *checkpoint, reason string, outcomes map[ID]Dra
 	c.abortFlush(ck, src, fmt.Errorf("%w: drain: %s", ErrLost, reason))
 	c.rec.DrainAbandoned(ck.size)
 	c.lifecycle(ck.id, trace.LDrainAbandoned, "", reason)
-	outcomes[ck.id] = DrainEntry{Version: int64(ck.id), Size: ck.size,
-		Outcome: DrainAbandoned, Reason: reason, At: c.clk.Now()}
+	c.setOutcome(outcomes, DrainEntry{Version: int64(ck.id), Size: ck.size,
+		Outcome: DrainAbandoned, Reason: reason, At: c.clk.Now()})
+}
+
+// setOutcome records one triage verdict. The round's flush workers run
+// concurrently, so the shared map is written under c.mu.
+func (c *Client) setOutcome(outcomes map[ID]DrainEntry, e DrainEntry) {
+	c.mu.Lock()
+	outcomes[ID(e.Version)] = e
+	c.mu.Unlock()
 }
 
 // buildManifest classifies every live version: triage outcomes are taken

@@ -188,9 +188,12 @@ func TestFlushPoolAbortWithMultipleWorkers(t *testing.T) {
 				t.Errorf("checkpoint %d not marked flush-aborted", i)
 			}
 			for tier, rep := range ck.replicas {
+				if rep == nil {
+					continue
+				}
 				switch st := rep.fsm.State(); st {
 				case lifecycle.WriteInProgress, lifecycle.ReadInProgress:
-					t.Errorf("checkpoint %d tier %v replica stuck in-flight (%v)", i, tier, st)
+					t.Errorf("checkpoint %d tier %v replica stuck in-flight (%v)", i, Tier(tier), st)
 				}
 			}
 		}
@@ -249,4 +252,34 @@ func TestChunkedFlushBeatsMonolithic(t *testing.T) {
 	if chunked >= mono {
 		t.Errorf("chunked GPUDirect flush took %v, monolithic %v; want chunked faster", chunked, mono)
 	}
+}
+
+// TestFlushOwnershipSpansBothPools: a D2H job enqueues its own H2F
+// follow-up, and an H2F worker may pick that up before the D2H worker
+// finishes. The version must stay owned until both jobs are done, or a
+// preemption triage sees it as unowned and flushes it a second time.
+func TestFlushOwnershipSpansBothPools(t *testing.T) {
+	run(t, func(clk *simclock.Virtual) {
+		c := newRig(t, clk, nil).client
+		defer c.Close()
+		var d2h, h2f idFIFO
+		var d2hBusy, h2fBusy int
+		d2h.push(7)
+		h2f.push(7)
+		c.popFlushJob(&d2h, &d2hBusy)
+		c.popFlushJob(&h2f, &h2fBusy)
+		owned := func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return c.inFlight[7] > 0
+		}
+		c.finishFlushJob(7, &d2hBusy)
+		if !owned() {
+			t.Error("version unowned while its H2F job still runs")
+		}
+		c.finishFlushJob(7, &h2fBusy)
+		if owned() {
+			t.Error("version still owned after both jobs finished")
+		}
+	})
 }

@@ -118,7 +118,7 @@ func (o *tierOracle) Evicted(id cachebuf.ID) {
 	o.c.mu.Lock()
 	defer o.c.mu.Unlock()
 	if ck := o.c.ckpts[ID(id)]; ck != nil {
-		delete(ck.replicas, o.tier)
+		ck.replicas[o.tier] = nil
 		if o.tier == TierHost {
 			o.c.releaseStagedLocked(ck)
 		}

@@ -61,7 +61,7 @@ func (c *Client) prefetcher() {
 
 		// The prefetcher's own time is hidden from the application by
 		// design — no attribution target.
-		promoted, err := c.promoteToGPU(ck, false, nil)
+		promoted, err := c.promoteToGPU(ck, nil)
 
 		c.mu.Lock()
 		ck.promoting = false
@@ -132,7 +132,7 @@ func (c *Client) promoteOrBypass(ck *checkpoint, att *attrib) (done bool, err er
 		c.mu.Unlock()
 	}()
 
-	promoted, err := c.promoteToGPU(ck, true, att)
+	promoted, err := c.promoteToGPU(ck, att)
 	if err != nil {
 		return false, err
 	}
@@ -193,12 +193,10 @@ func (c *Client) lostDetail(ck *checkpoint) string {
 }
 
 // promoteToGPU moves ck's data to the GPU cache, staging through the host
-// cache when the source is the SSD/PFS. When block is false it only uses
-// immediately evictable windows (TryReserve); when block is true it still
-// uses TryReserve (blocking here could deadlock a deviating read behind
-// pinned prefetches) but reports wouldBlock via promoted=false.
-func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted bool, err error) {
-	_ = block // both paths use TryReserve; see doc comment
+// cache when the source is the SSD/PFS. It only uses immediately evictable
+// windows (TryReserve) — blocking here could deadlock a deviating read
+// behind pinned prefetches — and reports a full cache via promoted=false.
+func (c *Client) promoteToGPU(ck *checkpoint, att *attrib) (promoted bool, err error) {
 	start := c.clk.Now()
 	defer func() {
 		// Only completed promotions that actually moved data feed the
@@ -268,7 +266,7 @@ func (c *Client) promoteToGPU(ck *checkpoint, block bool, att *attrib) (promoted
 	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierGPU)
+			ck.replicas[TierGPU] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -333,7 +331,7 @@ func (c *Client) promoteDirect(ck *checkpoint, att *attrib) (promoted bool, err 
 	if _, err := c.prefetchBuf().TryReserve(cachebuf.ID(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierGPU)
+			ck.replicas[TierGPU] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -386,7 +384,7 @@ func (c *Client) promoteSSDToHost(ck *checkpoint, att *attrib) (ok bool, err err
 	if _, err := c.hstC.TryReserve(c.hostKey(ck.id), ck.size); err != nil {
 		c.mu.Lock()
 		if fresh {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		switch err {
@@ -402,7 +400,7 @@ func (c *Client) promoteSSDToHost(ck *checkpoint, att *attrib) (ok bool, err err
 	if err := c.readDeep(ck, att); err != nil {  // SSD → host staging read (PFS fallback)
 		c.mu.Lock()
 		if ck.replicas[TierHost] == hostRep {
-			delete(ck.replicas, TierHost)
+			ck.replicas[TierHost] = nil
 		}
 		c.mu.Unlock()
 		c.hstC.Release(c.hostKey(ck.id))

@@ -75,6 +75,30 @@ func TestPreemptionWindowLadder(t *testing.T) {
 	}
 }
 
+// TestPreemptionParallelDrainWorkers: a wide triage pool flushes and
+// abandons versions concurrently, and every verdict lands in the
+// manifest. Run under -race (make chaos-preempt): the drain workers share
+// one outcome map, which must only be written under the client lock.
+func TestPreemptionParallelDrainWorkers(t *testing.T) {
+	cfg := smallPreempt()
+	cfg.Checkpoints = 16
+	cfg.FlushStreams = 8
+	cfg.Runs = 12
+	cfg.Windows = []time.Duration{500 * time.Microsecond, 2 * time.Millisecond}
+	res, err := Preemption(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.SampleManifest.Complete() {
+		t.Fatalf("sample manifest incomplete: %s", res.SampleManifest)
+	}
+	for _, cell := range res.Cells {
+		if cell.DurableBytes+cell.AbandonedBytes+cell.DiscardedBytes == 0 {
+			t.Errorf("window %v: no bytes accounted in manifests", cell.Window)
+		}
+	}
+}
+
 // TestPreemptionDeterministic: the same config replays the identical
 // sweep, manifest entries included.
 func TestPreemptionDeterministic(t *testing.T) {

@@ -44,7 +44,9 @@ const (
 // CritPathRecord attributes one operation's end-to-end latency to the
 // components above. Op is CritDurable or CritRestore; Version is the
 // checkpoint version; Start is the simulated time the interval opened.
-// sum(Components) + Unattributed == Total by construction.
+// sum(Components) + Unattributed == Total by construction. A recorded
+// record is immutable: snapshots and merged summaries share its
+// Components map instead of copying it, so treat the map as read-only.
 type CritPathRecord struct {
 	Op           string
 	Version      int64
@@ -110,20 +112,11 @@ func sortCritPaths(recs []CritPathRecord) {
 	})
 }
 
+// copyCritPaths copies the record slice; the immutable component maps
+// are shared.
 func copyCritPaths(recs []CritPathRecord) []CritPathRecord {
 	if len(recs) == 0 {
 		return nil
 	}
-	out := make([]CritPathRecord, len(recs))
-	for i, rec := range recs {
-		cp := rec
-		if rec.Components != nil {
-			cp.Components = make(map[string]time.Duration, len(rec.Components))
-			for k, v := range rec.Components {
-				cp.Components[k] = v
-			}
-		}
-		out[i] = cp
-	}
-	return out
+	return append([]CritPathRecord(nil), recs...)
 }

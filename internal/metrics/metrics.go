@@ -747,7 +747,7 @@ func Merge(parts ...Summary) Summary {
 		out.TraceEventsDropped += p.TraceEventsDropped
 		out.TraceCountersDropped += p.TraceCountersDropped
 		out.LedgerEventsDropped += p.LedgerEventsDropped
-		out.CritPaths = append(out.CritPaths, copyCritPaths(p.CritPaths)...)
+		out.CritPaths = append(out.CritPaths, p.CritPaths...)
 		out.DurableOps += p.DurableOps
 		for name, h := range p.Histograms {
 			if out.Histograms == nil {
