@@ -77,7 +77,8 @@ bench:
 # It also gates the simulator engine itself (DESIGN.md §14): the 10k-rank
 # sweep must stay within 20% of the committed events/sec baseline
 # (testdata/simspeed_baseline.json) with no allocs/op increase, emitting
-# BENCH_simspeed.json.
+# BENCH_simspeed.json. Last, it logs the real-byte layer's throughput and
+# allocations (payload checksum, store write, store reopen) ungated.
 bench-smoke:
 	$(GO) test -run TestChunkedPipelineSmoke -v . -args -bench.out=BENCH_pipeline.json
 	$(GO) test -run TestPreemptDrainSmoke -v . -args -preempt.out=BENCH_preempt.json
@@ -85,6 +86,8 @@ bench-smoke:
 	$(GO) test -run TestStragglerSmoke -v . -args -straggler.out=BENCH_straggler.json
 	$(GO) test -bench BenchmarkAblationChunkedPipeline -benchtime 1x -run '^$$' .
 	$(GO) test -bench BenchmarkSimSpeed -benchmem -benchtime 1x -run '^$$' .
+	$(GO) test -bench BenchmarkChecksum1MiB -benchmem -run '^$$' ./internal/payload
+	$(GO) test -bench 'BenchmarkStorePut1MiB|BenchmarkStoreOpen' -benchmem -run '^$$' ./internal/ckptstore
 
 # bench-evict runs the eviction policy × workload ablation matrix once,
 # gates the hit-rate sanity invariants (score ≥ LRU on the RTM scan; at
@@ -135,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIDFIFO -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCacheEviction -fuzztime $(FUZZTIME) ./internal/cachebuf
 	$(GO) test -run '^$$' -fuzz FuzzEvictionPolicy -fuzztime $(FUZZTIME) ./internal/cachebuf
+	$(GO) test -run '^$$' -fuzz FuzzStoreValidate -fuzztime $(FUZZTIME) ./internal/ckptstore
 
 clean:
 	$(GO) clean ./...

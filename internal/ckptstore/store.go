@@ -14,8 +14,15 @@
 //	trailer: payloadCRC u32
 //
 // Writes go through a temp file + atomic rename, so a crash mid-write
-// never leaves a torn checkpoint visible; Open scans the directory and
-// indexes every valid checkpoint, skipping (and reporting) corrupt ones.
+// never leaves a torn checkpoint visible. A write does not stage the file
+// in memory: the header, the caller's payload slice and the trailer go to
+// the temp file as three writes, and a failed write removes its temp
+// file. Open scans the directory and indexes every valid checkpoint,
+// skipping (and reporting) corrupt ones. Open and Scrub validate a file
+// by streaming it: header, then the payload through a running CRC with
+// one small buffer, then the trailer, so neither holds a whole checkpoint
+// in memory. Get must return the bytes, so it reads the whole file; both
+// paths share one header check.
 package ckptstore
 
 import (
@@ -23,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +47,8 @@ const (
 	fileSuffix    = ".ckpt"
 	tempSuffix    = ".tmp"
 	corruptSuffix = ".corrupt"
+	// validateChunk is the read size of the streaming payload check.
+	validateChunk = 32 << 10
 )
 
 // Errors returned by Store operations.
@@ -118,7 +128,7 @@ func Open(dir string) (*Store, []error, error) {
 		if !strings.HasSuffix(name, fileSuffix) {
 			continue
 		}
-		id, size, err := s.validateFile(filepath.Join(dir, name))
+		id, size, err := validateFile(filepath.Join(dir, name))
 		if err != nil {
 			corrupt = append(corrupt, fmt.Errorf("%s: %w", name, err))
 			continue
@@ -135,40 +145,59 @@ func (s *Store) path(id int64) string {
 	return filepath.Join(s.dir, strconv.FormatInt(id, 10)+fileSuffix)
 }
 
-// encode serializes id+payload into the on-disk format.
-func encode(id int64, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload)+trailerSize)
-	copy(buf[0:4], magic)
-	binary.LittleEndian.PutUint16(buf[4:], formatVersion)
-	binary.LittleEndian.PutUint16(buf[6:], 0) // flags
-	binary.LittleEndian.PutUint64(buf[8:], uint64(id))
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
-	copy(buf[headerSize:], payload)
-	binary.LittleEndian.PutUint32(buf[headerSize+len(payload):], crc32.ChecksumIEEE(payload))
-	return buf
+// encode returns the header and trailer that frame payload as id's
+// checkpoint file. The trailer is the CRC of payload itself: the store
+// checksums the bytes it writes, never trusting a caller's checksum.
+func encode(id int64, payload []byte) (header [headerSize]byte, trailer [trailerSize]byte) {
+	copy(header[0:4], magic)
+	binary.LittleEndian.PutUint16(header[4:], formatVersion)
+	binary.LittleEndian.PutUint16(header[6:], 0) // flags
+	binary.LittleEndian.PutUint64(header[8:], uint64(id))
+	binary.LittleEndian.PutUint32(header[16:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(header[20:], crc32.ChecksumIEEE(header[:20]))
+	binary.LittleEndian.PutUint32(trailer[:], crc32.ChecksumIEEE(payload))
+	return header, trailer
 }
 
-// writeTemp writes buf to a fresh uniquely-named temp file for id. Each
-// writer gets its own temp name, so two concurrent writes of the same id
-// can never interleave into one torn temp file.
-func (s *Store) writeTemp(id int64, buf []byte) (string, error) {
+// writeTemp writes id's checkpoint file to a fresh uniquely-named temp
+// file: header, payload and trailer in sequence, with no staging copy.
+// Each writer gets its own temp name, so two concurrent writes of the
+// same id can never interleave into one torn temp file. On any write or
+// close error the temp file is removed, so a failing disk (full, or over
+// its size limit) collects no orphans across retries.
+func (s *Store) writeTemp(id int64, payload []byte) (string, error) {
 	s.mu.Lock()
 	s.tmpSeq++
 	seq := s.tmpSeq
 	s.mu.Unlock()
 	tmp := fmt.Sprintf("%s.%d%s", s.path(id), seq, tempSuffix)
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return "", fmt.Errorf("ckptstore: writing %s: %w", tmp, err)
+	}
+	header, trailer := encode(id, payload)
+	_, err = f.Write(header[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err == nil {
+		_, err = f.Write(trailer[:])
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return "", fmt.Errorf("ckptstore: writing %s: %w", tmp, err)
 	}
 	return tmp, nil
 }
 
-// writeAtomic commits buf as id's checkpoint file via temp file + rename.
-// The rename holds scrubMu shared so it cannot interleave with a scrub
-// pass's quarantine renames.
-func (s *Store) writeAtomic(id int64, buf []byte) error {
-	tmp, err := s.writeTemp(id, buf)
+// writeAtomic commits payload as id's checkpoint file via temp file +
+// rename. The rename holds scrubMu shared so it cannot interleave with a
+// scrub pass's quarantine renames.
+func (s *Store) writeAtomic(id int64, payload []byte) error {
+	tmp, err := s.writeTemp(id, payload)
 	if err != nil {
 		return err
 	}
@@ -198,7 +227,7 @@ func (s *Store) Put(id int64, payload []byte) error {
 			return fmt.Errorf("ckptstore: writing %d: %w", id, err)
 		}
 	}
-	tmp, err := s.writeTemp(id, encode(id, payload))
+	tmp, err := s.writeTemp(id, payload)
 	if err != nil {
 		return err
 	}
@@ -333,7 +362,7 @@ func (s *Store) Scrub() ([]int64, error) {
 			id = -1
 		}
 		path := filepath.Join(s.dir, name)
-		gotID, _, err := s.validateFile(path)
+		gotID, _, err := validateFile(path)
 		if err == nil && parseErr == nil && gotID == id {
 			continue
 		}
@@ -364,7 +393,7 @@ func (s *Store) Scrub() ([]int64, error) {
 // atomic and bypasses the fault hook — repair must not be re-faulted by
 // the schedule that caused it.
 func (s *Store) Restage(id int64, payload []byte) error {
-	if err := s.writeAtomic(id, encode(id, payload)); err != nil {
+	if err := s.writeAtomic(id, payload); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -373,42 +402,79 @@ func (s *Store) Restage(id int64, payload []byte) error {
 	return nil
 }
 
-// validateFile decodes and checks a checkpoint file, returning its id and
-// payload size.
-func (s *Store) validateFile(path string) (int64, int64, error) {
-	buf, err := os.ReadFile(path)
+// validateFile checks a checkpoint file without loading it, returning
+// its id and payload size. It applies decode's checks in decode's order:
+// the header (against the file's length), then the payload CRC, streamed
+// through one small buffer, against the trailer.
+func validateFile(path string) (int64, int64, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	payload, id, err := decode(buf)
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
 		return 0, 0, err
 	}
-	return id, int64(len(payload)), nil
+	var header [headerSize]byte
+	if fi.Size() >= headerSize {
+		if _, err := io.ReadFull(f, header[:]); err != nil {
+			return 0, 0, fmt.Errorf("%w: reading header: %v", ErrCorrupt, err)
+		}
+	}
+	id, n, err := parseHeader(header[:], fi.Size())
+	if err != nil {
+		return 0, 0, err
+	}
+	crc := crc32.NewIEEE()
+	buf := make([]byte, validateChunk)
+	if _, err := io.CopyBuffer(crc, io.LimitReader(f, n), buf); err != nil {
+		return 0, 0, err
+	}
+	var trailer [trailerSize]byte
+	if _, err := io.ReadFull(f, trailer[:]); err != nil {
+		return 0, 0, fmt.Errorf("%w: reading trailer: %v", ErrCorrupt, err)
+	}
+	if binary.LittleEndian.Uint32(trailer[:]) != crc.Sum32() {
+		return 0, 0, fmt.Errorf("%w: payload CRC mismatch", ErrCorrupt)
+	}
+	return id, n, nil
 }
 
 // decode validates a serialized checkpoint and returns its payload and id.
 func decode(buf []byte) ([]byte, int64, error) {
-	if len(buf) < headerSize+trailerSize {
-		return nil, 0, fmt.Errorf("%w: truncated (%d bytes)", ErrCorrupt, len(buf))
-	}
-	if string(buf[0:4]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != formatVersion {
-		return nil, 0, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, v)
-	}
-	if crc := binary.LittleEndian.Uint32(buf[20:]); crc != crc32.ChecksumIEEE(buf[:20]) {
-		return nil, 0, fmt.Errorf("%w: header CRC mismatch", ErrCorrupt)
-	}
-	id := int64(binary.LittleEndian.Uint64(buf[8:]))
-	n := int(binary.LittleEndian.Uint32(buf[16:]))
-	if len(buf) != headerSize+n+trailerSize {
-		return nil, 0, fmt.Errorf("%w: length %d does not match header (%d)", ErrCorrupt, len(buf), headerSize+n+trailerSize)
+	id, n, err := parseHeader(buf, int64(len(buf)))
+	if err != nil {
+		return nil, 0, err
 	}
 	payload := buf[headerSize : headerSize+n]
 	if crc := binary.LittleEndian.Uint32(buf[headerSize+n:]); crc != crc32.ChecksumIEEE(payload) {
 		return nil, 0, fmt.Errorf("%w: payload CRC mismatch", ErrCorrupt)
 	}
 	return payload, id, nil
+}
+
+// parseHeader checks a checkpoint file's header against the file's total
+// length and returns the id and payload length it declares. header holds
+// the file's first headerSize bytes; it is not read when the file is too
+// short to hold a header and a trailer.
+func parseHeader(header []byte, fileLen int64) (id, n int64, err error) {
+	if fileLen < headerSize+trailerSize {
+		return 0, 0, fmt.Errorf("%w: truncated (%d bytes)", ErrCorrupt, fileLen)
+	}
+	if string(header[0:4]) != magic {
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if v := binary.LittleEndian.Uint16(header[4:]); v != formatVersion {
+		return 0, 0, fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, v)
+	}
+	if crc := binary.LittleEndian.Uint32(header[20:]); crc != crc32.ChecksumIEEE(header[:20]) {
+		return 0, 0, fmt.Errorf("%w: header CRC mismatch", ErrCorrupt)
+	}
+	id = int64(binary.LittleEndian.Uint64(header[8:]))
+	n = int64(binary.LittleEndian.Uint32(header[16:]))
+	if fileLen != headerSize+n+trailerSize {
+		return 0, 0, fmt.Errorf("%w: length %d does not match header (%d)", ErrCorrupt, fileLen, headerSize+n+trailerSize)
+	}
+	return id, n, nil
 }

@@ -39,6 +39,11 @@ func (c *Client) hostStager() {
 		c.mu.Unlock()
 		free := c.hstC.FreeBytes()
 		c.mu.Lock()
+		if c.closed {
+			// Close's broadcast may have fired while c.mu was released;
+			// parking now would never be woken again.
+			continue
+		}
 		ck := c.nextStageTargetLocked(free)
 		if ck == nil {
 			c.cond.Wait()

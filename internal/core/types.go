@@ -402,6 +402,7 @@ type storePayload struct {
 
 	once sync.Once
 	data []byte
+	sum  uint64 // checksum of data, computed once by load
 	err  error
 }
 
@@ -427,7 +428,7 @@ func (p *storePayload) load() {
 				// bytes); the read is served from a deeper copy.
 				p.rec.FallbackRead()
 			}
-			p.data = data
+			p.data, p.sum = data, payload.Sum(data)
 			if i > 0 && p.ssd != nil {
 				// Repair the faster tier so later reads and future
 				// restarts find the checkpoint locally again.
@@ -444,13 +445,10 @@ func (p *storePayload) load() {
 // Size implements payload.Payload.
 func (p *storePayload) Size() int64 { return p.size }
 
-// Checksum implements payload.Payload.
+// Checksum implements payload.Payload; 0 if every durable read failed.
 func (p *storePayload) Checksum() uint64 {
 	p.load()
-	if p.err != nil {
-		return 0
-	}
-	return payload.NewReal(p.data).Checksum()
+	return p.sum
 }
 
 // Bytes implements payload.Payload; nil if every durable read failed (the
