@@ -1,10 +1,18 @@
 GO ?= go
 
-.PHONY: verify build test vet vet-deprecated staticcheck race chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results clean
+.PHONY: verify build test vet fmt staticcheck race chaos chaos-rank chaos-preempt chaos-straggler bench bench-smoke bench-evict fuzz-smoke trace-smoke slo-smoke results clean
 
 # verify is the pre-merge gate: static checks, a full build, and the
 # race-enabled test suite (which includes a short chaos soak).
-verify: vet vet-deprecated staticcheck build race
+verify: fmt vet staticcheck build race
+
+# fmt fails if any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "files not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -16,18 +24,6 @@ staticcheck:
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; \
-	fi
-
-# vet-deprecated fails if non-test code calls the fault-blind transfer
-# shims (Transfer / PipelinedTransfer / CopyD2H / CopyH2D); production
-# paths must use the Try* variants so injected faults surface. The shims
-# stay for tests and external callers.
-vet-deprecated:
-	@bad=$$(grep -rnE '\.(Transfer|PipelinedTransfer|CopyD2H|CopyH2D)\(' \
-		--include='*.go' --exclude='*_test.go' . || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated fault-blind transfer calls in non-test code (use Try*):"; \
-		echo "$$bad"; exit 1; \
 	fi
 
 build:

@@ -316,7 +316,10 @@ func BenchmarkFabricTransfer(b *testing.B) {
 		l := fabric.NewLink(clk, "bench", 25*fabric.GB, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			l.Transfer(128 << 20)
+			if _, err := l.TryTransfer(128 << 20); err != nil {
+				b.Error(err)
+				return
+			}
 		}
 	})
 	<-done

@@ -142,8 +142,8 @@ func WithChunkSize(bytes int64) ClientOption {
 
 // WithEvictionPolicy selects the GPU cache eviction policy by name:
 // "score" (the paper's gap-aware sliding window, the default), "lru",
-// "fifo", or one of the DBMS-inspired policies "lru-k", "2q", "arc",
-// "clock-pro" (DESIGN.md §15). NewClient fails on an unknown name.
+// "fifo", or one of the DBMS-inspired policies "lru-k", "2q", "arc"
+// (DESIGN.md §15). NewClient fails on an unknown name.
 func WithEvictionPolicy(name string) ClientOption {
 	return func(c *clientConfig) { c.evictPolicy = name }
 }

@@ -52,7 +52,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the experiment run(s) to this file (inspect with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after a final GC) to this file when the run(s) finish")
 	benchTime := flag.Duration("benchtime", 0, "repeat the selected experiment(s) until this much wall time has elapsed — stabilizes -cpuprofile samples on fast configs (0 = run once)")
-	parallelSim := flag.Bool("parallel-sim", false, "wake same-instant rank cohorts in parallel on the real scheduler for wall-clock speed; results may differ slightly from the (byte-deterministic) serial default")
 	sloFlag := flag.Bool("slo", false, "evaluate each scenario's checked-in SLO objectives on the virtual clock (burn-rate alerting with critical-path attribution) and print the compliance table")
 	sloOut := flag.String("slo-out", "", "write the per-run SLO compliance reports (score-slo/v1 JSON) to this file; implies -slo")
 	failSLO := flag.Bool("fail-on-slo", false, "exit non-zero if any objective fired an alert or missed its goal; implies -slo")
@@ -167,7 +166,6 @@ Flags:
 	}
 	experiments.SetDefaultSampleInterval(*sample)
 	experiments.SetDefaultChunkSize(*chunk)
-	experiments.SetDefaultParallelSim(*parallelSim)
 	sloOn := *sloFlag || *sloOut != "" || *failSLO
 	var sloRuns []report.SLORun
 	if sloOn {

@@ -19,7 +19,7 @@ var evictOut = flag.String("evict.out", "", "write eviction-ablation bench recor
 //
 //   - the paper's score policy must never trail LRU on the RTM restore
 //     scan (it sees the restore order; LRU only sees recency);
-//   - at least one DBMS-inspired policy (LRU-K, 2Q, ARC, CLOCK-Pro)
+//   - at least one DBMS-inspired policy (LRU-K, 2Q, ARC)
 //     must beat LRU on the KV-cache reuse workload — the scan bursts
 //     that pollute pure recency are exactly what those policies filter.
 func TestEvictionMatrixSmoke(t *testing.T) {
@@ -53,7 +53,7 @@ func TestEvictionMatrixSmoke(t *testing.T) {
 	}
 	lruKV := cell("kv", cachebuf.PolicyLRU)
 	beating := 0
-	for _, pol := range []cachebuf.Policy{cachebuf.PolicyLRUK, cachebuf.Policy2Q, cachebuf.PolicyARC, cachebuf.PolicyClockPro} {
+	for _, pol := range []cachebuf.Policy{cachebuf.PolicyLRUK, cachebuf.Policy2Q, cachebuf.PolicyARC} {
 		if cell("kv", pol).HitRate() > lruKV.HitRate() {
 			beating++
 		}

@@ -61,10 +61,10 @@ func (g *ghostList) len() int       { return len(g.order) }
 // defining trait of LRU-K), bounded like a ghost list.
 
 type lrukPolicy struct {
-	k       int
-	seq     int64
-	hist    map[ID][]int64 // most recent K access seqs, newest last
-	order   []ID           // FIFO of ids with history, for bounding
+	k        int
+	seq      int64
+	hist     map[ID][]int64 // most recent K access seqs, newest last
+	order    []ID           // FIFO of ids with history, for bounding
 	resident map[ID]bool
 }
 
@@ -287,157 +287,6 @@ func (p *arcPolicy) SelectWindow(v WindowView, sizeNew int64) (int, int, bool) {
 				return s + classBias
 			}
 			return s
-		}
-		return coldestUnknown
-	}
-	return coldestWindow(v, sizeNew, heat)
-}
-
-// ---------------------------------------------------------------------------
-// CLOCK-Pro (simplified, two classes): resident checkpoints sit on a
-// clock ring in insertion order with a reference bit and a hot/cold
-// class. Touches set the reference bit. SelectWindow ranks residents by
-// a virtual hand sweep — from the hand, lap after lap, applying the
-// CLOCK-Pro transitions without mutating real state — and the order in
-// which the virtual sweep would evict them is the coldness order.
-// OnEvict commits one real partial sweep from the hand to the chosen
-// victim (the window's members are evicted in offset order, which may
-// differ from sweep order; the sweep stops at each reported victim in
-// turn). Cold evictees enter a ghost test list; re-inserting a ghost
-// makes the newcomer hot.
-
-type clockProPolicy struct {
-	ring  []ID
-	hand  int
-	hot   map[ID]bool
-	ref   map[ID]bool
-	ghost *ghostList
-}
-
-func newClockProPolicy() *clockProPolicy {
-	return &clockProPolicy{hot: map[ID]bool{}, ref: map[ID]bool{}, ghost: newGhostList()}
-}
-
-func (*clockProPolicy) Name() string { return "clock-pro" }
-
-func (p *clockProPolicy) OnInsert(id ID, _ int64) {
-	if p.ghost.has(id) {
-		p.ghost.remove(id)
-		p.hot[id] = true
-	}
-	// Insert just behind the hand (the classic "tail of the clock").
-	if p.hand == 0 || len(p.ring) == 0 {
-		p.ring = append(p.ring, id)
-	} else {
-		p.ring = append(p.ring[:p.hand:p.hand], append([]ID{id}, p.ring[p.hand:]...)...)
-		p.hand++
-	}
-	p.ref[id] = false
-}
-
-func (p *clockProPolicy) OnTouch(id ID) {
-	if _, ok := p.ref[id]; ok {
-		p.ref[id] = true
-	}
-}
-
-func (p *clockProPolicy) removeFromRing(id ID) {
-	for i, v := range p.ring {
-		if v == id {
-			p.ring = append(p.ring[:i], p.ring[i+1:]...)
-			if p.hand > i {
-				p.hand--
-			}
-			if len(p.ring) == 0 {
-				p.hand = 0
-			} else {
-				p.hand %= len(p.ring)
-			}
-			return
-		}
-	}
-}
-
-// OnEvict commits the hand movement and state transitions the virtual
-// sweep predicted for this victim, then removes it from the ring.
-func (p *clockProPolicy) OnEvict(id ID) {
-	for n := 0; len(p.ring) > 0 && n < 2*len(p.ring)+2; n++ {
-		cur := p.ring[p.hand]
-		if cur == id {
-			break
-		}
-		if p.ref[cur] {
-			p.ref[cur] = false
-			if !p.hot[cur] {
-				p.hot[cur] = true // referenced cold page: promote
-			}
-		} else if p.hot[cur] {
-			p.hot[cur] = false // unreferenced hot page: demote
-		}
-		p.hand = (p.hand + 1) % len(p.ring)
-	}
-	if !p.hot[id] {
-		p.ghost.add(id)
-	}
-	delete(p.hot, id)
-	delete(p.ref, id)
-	p.removeFromRing(id)
-}
-
-func (p *clockProPolicy) OnRelease(id ID) {
-	delete(p.hot, id)
-	delete(p.ref, id)
-	p.removeFromRing(id)
-}
-
-// sweepRanks runs the virtual sweep: returns eviction rank per id
-// (0 = first to go = coldest).
-func (p *clockProPolicy) sweepRanks() map[ID]int {
-	n := len(p.ring)
-	ranks := make(map[ID]int, n)
-	if n == 0 {
-		return ranks
-	}
-	hot := make(map[ID]bool, len(p.hot))
-	ref := make(map[ID]bool, len(p.ref))
-	for id, v := range p.hot {
-		hot[id] = v
-	}
-	for id, v := range p.ref {
-		ref[id] = v
-	}
-	ring := append([]ID(nil), p.ring...)
-	pos := p.hand
-	rank := 0
-	for len(ring) > 0 {
-		pos %= len(ring)
-		id := ring[pos]
-		switch {
-		case !hot[id] && !ref[id]:
-			ranks[id] = rank
-			rank++
-			ring = append(ring[:pos], ring[pos+1:]...)
-		case !hot[id] && ref[id]:
-			ref[id] = false
-			hot[id] = true
-			pos++
-		case hot[id] && ref[id]:
-			ref[id] = false
-			pos++
-		default: // hot, unreferenced
-			hot[id] = false
-			pos++
-		}
-	}
-	return ranks
-}
-
-func (p *clockProPolicy) SelectWindow(v WindowView, sizeNew int64) (int, int, bool) {
-	ranks := p.sweepRanks()
-	n := len(ranks)
-	heat := func(id ID) int64 {
-		if r, ok := ranks[id]; ok {
-			return int64(n - r) // coldest (rank 0) = lowest heat
 		}
 		return coldestUnknown
 	}

@@ -112,24 +112,17 @@ const (
 	// frequency (T2) lists with ghost lists (B1/B2) steering an
 	// adaptation parameter that decides which list eviction prefers.
 	PolicyARC
-	// PolicyClockPro is a simplified CLOCK-Pro: resident checkpoints sit
-	// on a clock ring with a reference bit and a hot/cold class; the
-	// hand sweep evicts cold unreferenced pages first, promotes
-	// referenced cold pages, demotes unreferenced hot pages, and a
-	// ghost test list turns quickly-reinserted cold evictees hot.
-	PolicyClockPro
 )
 
 // policyNames orders the registered built-in policies; Policies and the
 // parser derive from it so a new policy registers in exactly one place.
 var policyNames = map[Policy]string{
-	PolicyScore:    "score",
-	PolicyLRU:      "lru",
-	PolicyFIFO:     "fifo",
-	PolicyLRUK:     "lru-k",
-	Policy2Q:       "2q",
-	PolicyARC:      "arc",
-	PolicyClockPro: "clock-pro",
+	PolicyScore: "score",
+	PolicyLRU:   "lru",
+	PolicyFIFO:  "fifo",
+	PolicyLRUK:  "lru-k",
+	Policy2Q:    "2q",
+	PolicyARC:   "arc",
 }
 
 // String names the policy.
@@ -149,7 +142,7 @@ func (p Policy) Known() bool {
 // Policies enumerates the registered built-in policies in declaration
 // order (the ablation matrix iterates this).
 func Policies() []Policy {
-	return []Policy{PolicyScore, PolicyLRU, PolicyFIFO, PolicyLRUK, Policy2Q, PolicyARC, PolicyClockPro}
+	return []Policy{PolicyScore, PolicyLRU, PolicyFIFO, PolicyLRUK, Policy2Q, PolicyARC}
 }
 
 // ParsePolicy resolves a policy by its String name.
@@ -190,8 +183,6 @@ func (p Policy) NewPolicy() (EvictionPolicy, error) {
 		return new2QPolicy(), nil
 	case PolicyARC:
 		return newARCPolicy(), nil
-	case PolicyClockPro:
-		return newClockProPolicy(), nil
 	}
 	return nil, fmt.Errorf("cachebuf: unknown eviction policy %d (registered: %s)", int(p), policyList())
 }

@@ -10,7 +10,7 @@ import (
 func TestPolicyStrings(t *testing.T) {
 	want := map[Policy]string{
 		PolicyScore: "score", PolicyLRU: "lru", PolicyFIFO: "fifo",
-		PolicyLRUK: "lru-k", Policy2Q: "2q", PolicyARC: "arc", PolicyClockPro: "clock-pro",
+		PolicyLRUK: "lru-k", Policy2Q: "2q", PolicyARC: "arc",
 	}
 	for p, name := range want {
 		if p.String() != name {
@@ -36,8 +36,10 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 			t.Errorf("policy %v names itself %q", p, ep.Name())
 		}
 	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy of unregistered name should fail")
+	for _, name := range []string{"mru", "clock-pro"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) of unregistered name should fail", name)
+		}
 	}
 }
 

@@ -235,8 +235,6 @@ func newModelPolicy(p Policy) modelPolicy {
 		return &model2Q{}
 	case PolicyARC:
 		return &modelARC{}
-	case PolicyClockPro:
-		return &modelClockPro{}
 	}
 	return nil
 }
@@ -285,11 +283,11 @@ func heatBetter(m *modelBuffer, aStart, aEnd, bStart, bEnd int, heat func(ID) in
 
 type modelScore struct{}
 
-func (*modelScore) name() string   { return "score" }
-func (*modelScore) insert(ID)      {}
-func (*modelScore) touch(ID)       {}
-func (*modelScore) evict(ID)       {}
-func (*modelScore) release(ID)     {}
+func (*modelScore) name() string { return "score" }
+func (*modelScore) insert(ID)    {}
+func (*modelScore) touch(ID)     {}
+func (*modelScore) evict(ID)     {}
+func (*modelScore) release(ID)   {}
 
 func (*modelScore) better(m *modelBuffer, aStart, aEnd, bStart, bEnd int) bool {
 	score := func(start, end int) (p, s float64) {
@@ -315,10 +313,10 @@ func (*modelScore) better(m *modelBuffer, aStart, aEnd, bStart, bEnd int) bool {
 
 type modelLRU struct{ order []ID }
 
-func (*modelLRU) name() string { return "lru" }
-func (p *modelLRU) insert(id ID) { p.order = append(listRemove(p.order, id), id) }
-func (p *modelLRU) touch(id ID)  { p.order = append(listRemove(p.order, id), id) }
-func (p *modelLRU) evict(id ID)  { p.order = listRemove(p.order, id) }
+func (*modelLRU) name() string    { return "lru" }
+func (p *modelLRU) insert(id ID)  { p.order = append(listRemove(p.order, id), id) }
+func (p *modelLRU) touch(id ID)   { p.order = append(listRemove(p.order, id), id) }
+func (p *modelLRU) evict(id ID)   { p.order = listRemove(p.order, id) }
 func (p *modelLRU) release(id ID) { p.order = listRemove(p.order, id) }
 func (p *modelLRU) better(m *modelBuffer, a, b, c, d int) bool {
 	return heatBetter(m, a, b, c, d, func(id ID) int64 { return int64(listIndex(p.order, id)) })
@@ -329,10 +327,10 @@ func (p *modelLRU) better(m *modelBuffer, a, b, c, d int) bool {
 
 type modelFIFO struct{ order []ID }
 
-func (*modelFIFO) name() string { return "fifo" }
-func (p *modelFIFO) insert(id ID) { p.order = append(listRemove(p.order, id), id) }
-func (p *modelFIFO) touch(ID)     {}
-func (p *modelFIFO) evict(id ID)  { p.order = listRemove(p.order, id) }
+func (*modelFIFO) name() string    { return "fifo" }
+func (p *modelFIFO) insert(id ID)  { p.order = append(listRemove(p.order, id), id) }
+func (p *modelFIFO) touch(ID)      {}
+func (p *modelFIFO) evict(id ID)   { p.order = listRemove(p.order, id) }
 func (p *modelFIFO) release(id ID) { p.order = listRemove(p.order, id) }
 func (p *modelFIFO) better(m *modelBuffer, a, b, c, d int) bool {
 	return heatBetter(m, a, b, c, d, func(id ID) int64 { return int64(listIndex(p.order, id)) })
@@ -353,9 +351,9 @@ func (p *modelLRUK) access(id ID) {
 	p.seq++
 	p.hist[id] = append(p.hist[id], p.seq)
 }
-func (p *modelLRUK) insert(id ID) { p.access(id) }
-func (p *modelLRUK) touch(id ID)  { p.access(id) }
-func (p *modelLRUK) evict(ID)     {} // history survives eviction
+func (p *modelLRUK) insert(id ID)  { p.access(id) }
+func (p *modelLRUK) touch(id ID)   { p.access(id) }
+func (p *modelLRUK) evict(ID)      {} // history survives eviction
 func (p *modelLRUK) release(id ID) { delete(p.hist, id) }
 func (p *modelLRUK) heat(id ID) int64 {
 	h := p.hist[id]
@@ -497,135 +495,6 @@ func (p *modelARC) better(m *modelBuffer, a, b, c, d int) bool {
 				return int64(i) + classBias
 			}
 			return int64(i)
-		}
-		return coldestUnknown
-	}
-	return heatBetter(m, a, b, c, d, heat)
-}
-
-// ---------------------------------------------------------------------------
-// CLOCK-Pro: explicit ring of entries (a different representation from
-// the production policy's parallel maps), same transition rules.
-
-type mcpEntry struct {
-	id       ID
-	hot, ref bool
-}
-
-type modelClockPro struct {
-	ring  []mcpEntry
-	hand  int
-	ghost []ID
-}
-
-func (*modelClockPro) name() string { return "clock-pro" }
-
-func (p *modelClockPro) entryIndex(id ID) int {
-	for i, e := range p.ring {
-		if e.id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func (p *modelClockPro) insert(id ID) {
-	hot := false
-	if listHas(p.ghost, id) {
-		p.ghost = listRemove(p.ghost, id)
-		hot = true
-	}
-	e := mcpEntry{id: id, hot: hot}
-	if p.hand == 0 || len(p.ring) == 0 {
-		p.ring = append(p.ring, e)
-	} else {
-		p.ring = append(p.ring[:p.hand:p.hand], append([]mcpEntry{e}, p.ring[p.hand:]...)...)
-		p.hand++
-	}
-}
-
-func (p *modelClockPro) touch(id ID) {
-	if i := p.entryIndex(id); i >= 0 {
-		p.ring[i].ref = true
-	}
-}
-
-func (p *modelClockPro) removeEntry(i int) {
-	p.ring = append(p.ring[:i:i], p.ring[i+1:]...)
-	if p.hand > i {
-		p.hand--
-	}
-	if len(p.ring) == 0 {
-		p.hand = 0
-	} else {
-		p.hand %= len(p.ring)
-	}
-}
-
-func (p *modelClockPro) evict(id ID) {
-	for n := 0; len(p.ring) > 0 && n < 2*len(p.ring)+2; n++ {
-		cur := &p.ring[p.hand]
-		if cur.id == id {
-			break
-		}
-		if cur.ref {
-			cur.ref = false
-			if !cur.hot {
-				cur.hot = true
-			}
-		} else if cur.hot {
-			cur.hot = false
-		}
-		p.hand = (p.hand + 1) % len(p.ring)
-	}
-	if i := p.entryIndex(id); i >= 0 {
-		if !p.ring[i].hot && !listHas(p.ghost, id) {
-			p.ghost = append(p.ghost, id)
-		}
-		p.removeEntry(i)
-	}
-}
-
-func (p *modelClockPro) release(id ID) {
-	if i := p.entryIndex(id); i >= 0 {
-		p.removeEntry(i)
-	}
-}
-
-func (p *modelClockPro) sweepRanks() map[ID]int {
-	ranks := make(map[ID]int, len(p.ring))
-	ring := append([]mcpEntry(nil), p.ring...)
-	pos := p.hand
-	rank := 0
-	for len(ring) > 0 {
-		pos %= len(ring)
-		e := &ring[pos]
-		switch {
-		case !e.hot && !e.ref:
-			ranks[e.id] = rank
-			rank++
-			ring = append(ring[:pos], ring[pos+1:]...)
-		case !e.hot && e.ref:
-			e.ref = false
-			e.hot = true
-			pos++
-		case e.hot && e.ref:
-			e.ref = false
-			pos++
-		default:
-			e.hot = false
-			pos++
-		}
-	}
-	return ranks
-}
-
-func (p *modelClockPro) better(m *modelBuffer, a, b, c, d int) bool {
-	ranks := p.sweepRanks()
-	n := len(ranks)
-	heat := func(id ID) int64 {
-		if r, ok := ranks[id]; ok {
-			return int64(n - r)
 		}
 		return coldestUnknown
 	}

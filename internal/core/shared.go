@@ -29,17 +29,11 @@ type SharedHostCache struct {
 
 // NewSharedHostCache creates a pool of the given capacity on clk. The
 // pool's pinned registration is charged once, overlapped with the run:
-// the participating processes pin it in parallel chunks (one chunk per
-// expected client), so the pool becomes usable when the slowest chunk
-// finishes — the same per-process registration time a private cache of
-// capacity/clients would cost.
-func NewSharedHostCache(clk simclock.Clock, name string, capacity int64) *SharedHostCache {
-	return NewSharedHostCachePinnedBy(clk, name, capacity, 8)
-}
-
-// NewSharedHostCachePinnedBy is NewSharedHostCache with an explicit
-// number of parallel pinning processes.
-func NewSharedHostCachePinnedBy(clk simclock.Clock, name string, capacity int64, pinners int) *SharedHostCache {
+// the pinners participating processes (normally one per GPU on the
+// node) pin it in parallel chunks, so the pool becomes usable when the
+// slowest chunk finishes — the same per-process registration time a
+// private cache of capacity/pinners would cost.
+func NewSharedHostCache(clk simclock.Clock, name string, capacity int64, pinners int) *SharedHostCache {
 	if pinners < 1 {
 		pinners = 1
 	}

@@ -13,7 +13,7 @@ import (
 // sharedRig builds two clients on one node sharing a host cache pool.
 func sharedRig(t *testing.T, clk *simclock.Virtual, poolSize int64) (*testRig, *Client, *SharedHostCache) {
 	t.Helper()
-	shared := NewSharedHostCache(clk, "node0-sharedhost", poolSize)
+	shared := NewSharedHostCache(clk, "node0-sharedhost", poolSize, 2)
 	r := newRig(t, clk, func(p *Params) { p.SharedHost = shared })
 	d2d2, pcie2 := r.cluster.Nodes[0].GPULinks(1)
 	dev2 := device.NewGPU(clk, 1, 64*MB, d2d2, pcie2, device.AllocCosts{

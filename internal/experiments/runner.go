@@ -198,9 +198,6 @@ type ShotConfig struct {
 	// count and cumulative busy time per fabric link, every interval.
 	// The series land in ShotResult.Series.
 	SampleInterval time.Duration
-	// SeriesCapacity bounds each sampled series ring buffer (0 takes
-	// metrics.DefaultSeriesCapacity).
-	SeriesCapacity int
 	// Tracer, when set, receives span events from Score ranks and — with
 	// sampling enabled — every sample as a Chrome-trace counter event.
 	Tracer *trace.Tracer
@@ -213,20 +210,6 @@ type ShotConfig struct {
 	// slo is the engine runShot builds from Objectives, carried in the
 	// config so buildRuntime can hand it to each rank's runtime.
 	slo *slo.Engine
-
-	// ParallelSim runs independent ranks' same-instant wakeups (compute
-	// phases ending on the same virtual instant) concurrently on the real
-	// scheduler instead of one at a time. Off by default: the serial
-	// one-at-a-time ordering is the byte-determinism contract the goldens
-	// pin. Engine-level observables are provably order-independent
-	// (commutative atomic accounting, deterministically re-sorted
-	// ledgers — see TestSimDeterminismSerialVsParallel), but the full
-	// runtime makes order-dependent decisions at same-instant races
-	// (eviction picks, admission order), so shot results may differ
-	// slightly from the serial run. Use it for wall-clock speed on big
-	// sweeps, never for golden comparisons. See simclock.WithParallelWake
-	// for the mechanism.
-	ParallelSim bool
 }
 
 // defaultSampleInterval is applied to every ShotConfig that does not
@@ -264,16 +247,6 @@ var defaultTraceSink func(label string, t *trace.Tracer)
 // threading a tracer through each figure driver. nil disables. Not
 // safe to change while shots are running.
 func SetDefaultTraceSink(fn func(label string, t *trace.Tracer)) { defaultTraceSink = fn }
-
-// defaultParallelSim mirrors defaultSampleInterval for the parallel
-// simulation knob: ckptbench's -parallel-sim flag sets it once instead
-// of threading it through each figure driver.
-var defaultParallelSim bool
-
-// SetDefaultParallelSim makes every subsequent shot whose config leaves
-// ParallelSim false wake same-instant cohorts in parallel (see
-// ShotConfig.ParallelSim). Not safe to change while shots are running.
-func SetDefaultParallelSim(on bool) { defaultParallelSim = on }
 
 // defaultSLO mirrors defaultSampleInterval for the SLO knob: ckptbench's
 // -slo flag sets it once, and every scenario that leaves Objectives nil
@@ -352,9 +325,6 @@ func (c ShotConfig) withDefaults() ShotConfig {
 	}
 	if c.ChunkSize == 0 {
 		c.ChunkSize = defaultChunkSize
-	}
-	if !c.ParallelSim {
-		c.ParallelSim = defaultParallelSim
 	}
 	if c.Objectives == nil && defaultSLO {
 		c.Objectives = slo.ShotObjectives()
@@ -475,11 +445,7 @@ func (r ShotResult) TotalIOWait() time.Duration {
 // RunShot executes one full shot benchmark on a fresh virtual clock.
 func RunShot(cfg ShotConfig) (ShotResult, error) {
 	cfg = cfg.withDefaults()
-	var opts []simclock.VirtualOption
-	if cfg.ParallelSim {
-		opts = append(opts, simclock.WithParallelWake())
-	}
-	clk := simclock.NewVirtual(opts...)
+	clk := simclock.NewVirtual()
 	var res ShotResult
 	var err error
 	clk.Run(func() { res, err = runShot(clk, cfg) })
@@ -515,7 +481,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 	if cfg.SharedHostPerNode && cfg.Combo.Approach == Score {
 		sharedPools = make([]*core.SharedHostCache, cfg.Nodes)
 		for n := range sharedPools {
-			sharedPools[n] = core.NewSharedHostCachePinnedBy(clk,
+			sharedPools[n] = core.NewSharedHostCache(clk,
 				fmt.Sprintf("node%d-sharedhost", n),
 				cfg.HostCache*int64(cfg.GPUsPerNode), cfg.GPUsPerNode)
 		}
@@ -602,7 +568,7 @@ func runShot(clk *simclock.Virtual, cfg ShotConfig) (ShotResult, error) {
 
 	var sampler *metrics.Sampler
 	if cfg.SampleInterval > 0 {
-		sampler = metrics.NewSampler(clk, cfg.SampleInterval, cfg.SeriesCapacity)
+		sampler = metrics.NewSampler(clk, cfg.SampleInterval, 0)
 		for rank, rt := range rts {
 			if sc, ok := rt.(scoreRuntime); ok {
 				sc.Client.RegisterProbes(sampler, fmt.Sprintf("rank%d", rank))

@@ -235,8 +235,10 @@ func TestWithEvictionPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2.Run(func() {
-		if _, err := sim2.NewClient(0, 0, score.WithEvictionPolicy("mru")); err == nil {
-			t.Error("unknown eviction policy name accepted")
+		for _, name := range []string{"mru", "clock-pro"} {
+			if _, err := sim2.NewClient(0, 0, score.WithEvictionPolicy(name)); err == nil {
+				t.Errorf("unknown eviction policy name %q accepted", name)
+			}
 		}
 	})
 }

@@ -342,7 +342,7 @@ func (s *Sim) NewClient(node, gpu int, opts ...ClientOption) (*Client, error) {
 		sharedPool = s.shared[node]
 		if sharedPool == nil {
 			sharedPool = core.NewSharedHostCache(s.clock(),
-				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost)
+				fmt.Sprintf("node%d-sharedhost", node), s.cfg.sharedHost, s.cfg.node.GPUs)
 			s.shared[node] = sharedPool
 		}
 	}

@@ -59,8 +59,7 @@ func reportSimSpeed(b *testing.B, modelEvents, wakeups uint64) {
 // membership churn (transfers), and cond handoff (waitgroup join).
 // Compute times are quantized to a handful of values, so ranks form
 // bulk-synchronous same-instant cohorts — the dominant pattern when 10k
-// ranks checkpoint at iteration boundaries, and the case parallel wake
-// (WithParallelWake) exists for.
+// ranks checkpoint at iteration boundaries.
 func runRankSweep(tb testing.TB, ranks, linkCount, rounds int, opts ...simclock.VirtualOption) {
 	clk := simclock.NewVirtual(opts...)
 	links := make([]*fabric.Link, linkCount)
@@ -98,21 +97,6 @@ func BenchmarkSimSpeed10kRankSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runRankSweep(b, sweepRanks, sweepLinks, sweepRounds)
-	}
-	b.StopTimer()
-	reportSimSpeed(b, uint64(b.N)*sweepModelEvents, simclock.EventCount()-startWake)
-}
-
-// BenchmarkSimSpeed10kRankSweepParallel is the same sweep under
-// WithParallelWake: ranks whose compute phases land on the same instant
-// (bulk-synchronous cohorts — the dominant pattern at 10k ranks) wake as
-// one batch and burn their wake-side work on all cores.
-func BenchmarkSimSpeed10kRankSweepParallel(b *testing.B) {
-	b.ReportAllocs()
-	startWake := simclock.EventCount()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runRankSweep(b, sweepRanks, sweepLinks, sweepRounds, simclock.WithParallelWake())
 	}
 	b.StopTimer()
 	reportSimSpeed(b, uint64(b.N)*sweepModelEvents, simclock.EventCount()-startWake)

@@ -1,10 +1,10 @@
 // Determinism property tests for the SLO engine: the alert fire/resolve
 // ledger — and the full compliance report behind it — must be
 // byte-identical across the wheel and heap timer backends and across
-// serial vs parallel same-instant wakeups. The engine's contract
-// (DESIGN.md §17) is that same-instant observations are staged
-// commutatively and evaluated once when virtual time moves, so cohort
-// execution order can never reorder or change an alert transition.
+// repeated runs. The engine's contract (DESIGN.md §17) is that
+// same-instant observations are staged commutatively and evaluated once
+// when virtual time moves, so cohort execution order can never reorder
+// or change an alert transition.
 package score_test
 
 import (
@@ -22,9 +22,9 @@ import (
 )
 
 // sloScenarioFingerprint drives one shared SLO engine from 64 ranks on
-// quantized compute cadences (the sharpest serial-vs-parallel probe:
-// ranks form same-instant cohorts whose real execution order differs
-// across engines) and renders everything observable — the alert ledger
+// quantized compute cadences (the sharpest ordering probe: ranks form
+// same-instant cohorts whose members all observe at one virtual
+// instant) and renders everything observable — the alert ledger
 // at the synthetic SLO rank, the end-of-run report, and the final
 // virtual time — into one string.
 //
@@ -129,21 +129,7 @@ func TestSLODeterminismWheelVsHeap(t *testing.T) {
 	}
 }
 
-// TestSLODeterminismSerialVsParallel: parallel same-instant wakeups must
-// reproduce the serial alert sequence byte for byte — the staged-batch
-// evaluation makes same-instant observation order unobservable. Repeated
-// runs guard against scheduler-order flakes in the parallel mode.
-func TestSLODeterminismSerialVsParallel(t *testing.T) {
-	serial := sloScenarioFingerprint(t)
-	for i := 0; i < 5; i++ {
-		par := sloScenarioFingerprint(t, simclock.WithParallelWake())
-		if serial != par {
-			t.Fatalf("run %d: parallel wake diverged from serial engine:\nserial:\n%s\nparallel:\n%s", i, serial, par)
-		}
-	}
-}
-
-// TestSLODeterminismRepeatable: two serial runs are byte-identical, and
+// TestSLODeterminismRepeatable: two runs are byte-identical, and
 // the scenario genuinely exercises both alert edges (at least one fire
 // and one resolve land in the ledger) so the goldens above compare a
 // non-trivial sequence.
@@ -151,7 +137,7 @@ func TestSLODeterminismRepeatable(t *testing.T) {
 	a := sloScenarioFingerprint(t)
 	b := sloScenarioFingerprint(t)
 	if a != b {
-		t.Fatal("two serial runs of the same scenario diverged")
+		t.Fatal("two runs of the same scenario diverged")
 	}
 	if !strings.Contains(a, trace.LSLOFired.String()) || !strings.Contains(a, trace.LSLOResolved.String()) {
 		t.Fatalf("scenario did not exercise both alert edges:\n%s", a)
